@@ -38,11 +38,12 @@ int force_prune_state() {
 }
 
 /// Adaptive engagement thresholds (see DESIGN.md for the measurement). The
-/// gather costs O(k * sources) up front; it pays off once the batched moment
-/// fill replaces enough per-pair sparse reductions, which needs both a list
-/// long enough to amortize the pass and enough sources per form for the
-/// interleaved dense chains to beat the branchy sparse walks. Below either
-/// threshold the pairwise sweep's lazy evaluation wins.
+/// gather costs O(k * support) up front (support = the list's union of
+/// source ids); it pays off once the batched moment fill replaces enough
+/// per-pair sparse reductions, which needs both a list long enough to
+/// amortize the pass and enough sources per form for the interleaved chains
+/// to beat the branchy sparse walks. Below either threshold the pairwise
+/// sweep's lazy evaluation wins.
 constexpr std::size_t k_tiled_min_list = 32;
 constexpr std::size_t k_tiled_min_sources = 16;
 
@@ -276,7 +277,6 @@ namespace {
 template <typename GetVar>
 std::size_t batch_fill_variances(std::vector<stat_candidate>& list,
                                  const stats::candidate_plane& planes,
-                                 const stats::variation_space& space,
                                  prune_scratch& scr, GetVar get_var) {
   scr.rows.clear();
   scr.row_index.clear();
@@ -289,7 +289,7 @@ std::size_t batch_fill_variances(std::vector<stat_candidate>& list,
   if (scr.rows.empty()) return 0;
   scr.out.resize(scr.rows.size());
   stats::kernels::active().variance_rows(scr.rows.data(), scr.rows.size(),
-                                         space.sigma2_data(), planes.extent(),
+                                         planes.sigma2(), planes.width(),
                                          scr.out.data());
   for (std::size_t j = 0; j < scr.rows.size(); ++j) {
     get_var(list[scr.row_index[j]]) = scr.out[j];
@@ -303,11 +303,12 @@ std::size_t batch_fill_variances(std::vector<stat_candidate>& list,
 /// doubles), so the gather would have to pay for itself in the variance pass
 /// alone -- and measurement says it never does: the lazy walk is O(nnz) for
 /// sparse forms and already a single vectorized plane pass for dense ones,
-/// while the gather adds a full O(extent) copy per row (see the
-/// BM_DominanceSweep4P baseline). Automatic mode therefore always keeps the
-/// lazy walk; only forced tiled mode batches, which keeps the whole tiled 4P
-/// path alive under the differential suite and the VABI_FORCE_PRUNE=tiled CI
-/// lanes. Returns rows batched (0 = fall back to the lazy walk).
+/// while the gather adds a support-wide copy per row on top of the same
+/// variance pass (see the BM_DominanceSweep4P baseline). Automatic mode
+/// therefore always keeps the lazy walk; only forced tiled mode batches,
+/// which keeps the whole tiled 4P path alive under the differential suite and
+/// the VABI_FORCE_PRUNE=tiled CI lanes. Returns rows batched (0 = fall back
+/// to the lazy walk).
 template <typename GetForm, typename GetVar>
 std::size_t tiled_fill_4p_side(std::vector<stat_candidate>& list,
                                stats::candidate_plane& plane,
@@ -320,16 +321,18 @@ std::size_t tiled_fill_4p_side(std::vector<stat_candidate>& list,
     if (get_var(list[i]) < 0.0) scr.row_index.push_back(i);
   }
   if (scr.row_index.empty()) return 0;
-  plane.reset(space.size());
-  for (const std::size_t i : scr.row_index) plane.add_row(get_form(list[i]));
-  // Pointers only after the gather completes: add_row may grow the plane.
+  scr.forms.clear();
+  for (const std::size_t i : scr.row_index) {
+    scr.forms.push_back(&get_form(list[i]));
+  }
+  plane.gather(scr.forms, space, scr.column_of);
   scr.rows.clear();
   for (std::size_t j = 0; j < scr.row_index.size(); ++j) {
     scr.rows.push_back(plane.row(j));
   }
   scr.out.resize(scr.rows.size());
   stats::kernels::active().variance_rows(scr.rows.data(), scr.rows.size(),
-                                         space.sigma2_data(), plane.extent(),
+                                         plane.sigma2(), plane.width(),
                                          scr.out.data());
   for (std::size_t j = 0; j < scr.rows.size(); ++j) {
     get_var(list[scr.row_index[j]]) = scr.out[j];
@@ -350,24 +353,23 @@ void sweep_two_param_tiled(const two_param_rule& rule,
                            const stats::variation_space& space,
                            dp_stats& stats, prune_scratch& scr) {
   const std::size_t n = list.size();
-  const std::size_t ext = space.size();
-  const double* s2 = space.sigma2_data();
   const auto& kt = stats::kernels::active();
   ++stats.tiled_prunes;
 
-  // Gather once per prune call: the planes copy every coefficient, so
-  // nothing after this point can dangle into the candidate forms.
-  scr.load_planes.reset(ext);
-  scr.rat_planes.reset(ext);
-  for (const auto& c : list) {
-    scr.load_planes.add_row(c.load);
-    scr.rat_planes.add_row(c.rat);
-  }
+  // Gather once per prune call, each side over its own union support: the
+  // planes copy every coefficient, so nothing after this point can dangle
+  // into the candidate forms.
+  scr.forms.clear();
+  for (const auto& c : list) scr.forms.push_back(&c.load);
+  scr.load_planes.gather(scr.forms, space, scr.column_of);
+  scr.forms.clear();
+  for (const auto& c : list) scr.forms.push_back(&c.rat);
+  scr.rat_planes.gather(scr.forms, space, scr.column_of);
   stats.pairs_batched += batch_fill_variances(
-      list, scr.load_planes, space, scr,
+      list, scr.load_planes, scr,
       [](stat_candidate& c) -> double& { return c.var_load; });
   stats.pairs_batched += batch_fill_variances(
-      list, scr.rat_planes, space, scr,
+      list, scr.rat_planes, scr,
       [](stat_candidate& c) -> double& { return c.var_rat; });
 
   // z thresholds are resolved lazily, exactly when the pairwise path would
@@ -436,7 +438,8 @@ void sweep_two_param_tiled(const two_param_rule& rule,
       if (!scr.rows.empty()) {
         scr.out.resize(scr.rows.size());
         kt.sigma_diff_sq_row_tile(scr.load_planes.row(r), scr.rows.data(),
-                                  scr.rows.size(), s2, ext, scr.out.data());
+                                  scr.rows.size(), scr.load_planes.sigma2(),
+                                  scr.load_planes.width(), scr.out.data());
         stats.pairs_batched += scr.rows.size();
         for (std::size_t e = 0; e < scr.rows.size(); ++e) {
           const std::size_t b = scr.row_index[e];
@@ -497,7 +500,8 @@ void sweep_two_param_tiled(const two_param_rule& rule,
       if (!pruned && !scr.rows.empty()) {
         scr.out.resize(scr.rows.size());
         kt.sigma_diff_sq_row_tile(scr.rat_planes.row(r), scr.rows.data(),
-                                  scr.rows.size(), s2, ext, scr.out.data());
+                                  scr.rows.size(), scr.rat_planes.sigma2(),
+                                  scr.rat_planes.width(), scr.out.data());
         stats.pairs_batched += scr.rows.size();
         for (std::size_t e = 0; e < scr.rows.size() && !pruned; ++e) {
           const std::size_t b = scr.row_index[e];

@@ -84,6 +84,10 @@ bool use_tiled_prune(std::size_t k, std::size_t sources);
 struct prune_scratch {
   stats::candidate_plane load_planes;
   stats::candidate_plane rat_planes;
+  std::vector<const stats::linear_form*> forms;  ///< one side's gather input
+  /// Source id -> plane column, all candidate_plane::k_no_column between
+  /// gathers; grows to the largest variation space the worker has seen.
+  std::vector<std::uint32_t> column_of;
   std::vector<const double*> rows;      ///< row-pointer batch for the kernels
   std::vector<std::size_t> row_index;   ///< list index per batched row
   std::vector<std::size_t> pair_idx;    ///< window position per batched pair

@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -486,35 +487,36 @@ ssize_t wire_read(int fd, void* buf, std::size_t n) {
   return got;
 }
 
-bool wire_write_all(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  std::size_t left = n;
-  if (n > 1 &&
-      testing::should_fire(testing::fault_point::wire_short_write,
-                           static_cast<std::uint64_t>(fd))) {
-    // Deliver half the bytes, then behave like the peer vanished.
-    std::size_t half = n / 2;
-    while (half > 0) {
-      const ssize_t put = ::write(fd, p, half);
-      if (put < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      p += put;
-      half -= static_cast<std::size_t>(put);
-    }
-    return false;
-  }
-  while (left > 0) {
-    const ssize_t put = ::write(fd, p, left);
+namespace {
+
+/// send(2)s all of [p, p+n), EINTR-safe. MSG_NOSIGNAL turns a write to a
+/// peer that has already closed into EPIPE instead of a process-killing
+/// SIGPIPE, exactly like the server's flush path.
+bool send_all(int fd, const std::uint8_t* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t put = ::send(fd, p, n, MSG_NOSIGNAL);
     if (put < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     p += put;
-    left -= static_cast<std::size_t>(put);
+    n -= static_cast<std::size_t>(put);
   }
   return true;
+}
+
+}  // namespace
+
+bool wire_write_all(int fd, const void* buf, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(buf);
+  if (n > 1 &&
+      testing::should_fire(testing::fault_point::wire_short_write,
+                           static_cast<std::uint64_t>(fd))) {
+    // Deliver half the bytes, then behave like the peer vanished.
+    (void)send_all(fd, p, n / 2);
+    return false;
+  }
+  return send_all(fd, p, n);
 }
 
 }  // namespace vabi::serve

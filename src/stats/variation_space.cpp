@@ -1,6 +1,7 @@
 #include "stats/variation_space.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace vabi::stats {
@@ -21,8 +22,12 @@ const char* to_string(source_kind kind) {
 
 source_id variation_space::add_source(source_kind kind, double sigma,
                                       std::string name) {
-  if (sigma < 0.0) {
-    throw std::invalid_argument("variation_space: sigma must be >= 0");
+  // sigma^2 must be finite as well as sigma: an infinite sigma^2 turns the
+  // exact +0.0 an absent slot adds to a variance chain into 0 * inf = NaN.
+  // The negated >= also rejects a NaN sigma.
+  if (!(sigma >= 0.0) || !std::isfinite(sigma * sigma)) {
+    throw std::invalid_argument(
+        "variation_space: sigma must be >= 0 with a finite square");
   }
   const auto id = static_cast<source_id>(sigmas_.size());
   sigmas_.push_back(sigma);

@@ -42,7 +42,10 @@ const char* to_string(source_kind kind);
 /// Sources are append-only: ids are dense indices and never invalidated.
 class variation_space {
  public:
-  /// Registers a new independent source ~ N(0, sigma^2). `sigma` must be >= 0.
+  /// Registers a new independent source ~ N(0, sigma^2). `sigma` must be >= 0
+  /// and sigma^2 finite (std::invalid_argument otherwise): NaN, +inf and a
+  /// sigma whose square overflows are rejected, which keeps every absent
+  /// slot of a dense plane or candidate row an exact +0.0 in the reductions.
   source_id add_source(source_kind kind, double sigma, std::string name = {});
 
   std::size_t size() const { return sigmas_.size(); }

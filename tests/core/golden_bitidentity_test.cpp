@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 
 #include "core/statistical_dp.hpp"
 #include "layout/process_model.hpp"
@@ -81,6 +82,11 @@ struct golden {
   std::uint64_t hash;
   std::size_t num_buffers;
 };
+
+// Without this, gtest prints a golden as its raw bytes -- including the
+// address of `name`, which moves with every load -- and the discovered ctest
+// names would differ from one build (and run) to the next.
+void PrintTo(const golden& g, std::ostream* os) { *os << g.name; }
 
 // Captured from the pre-arena engines; see the file comment.
 constexpr golden kGoldens[] = {

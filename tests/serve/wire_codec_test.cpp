@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -353,6 +354,22 @@ TEST(WireCodec, ShortWriteInjectionReportsPeerGone) {
   EXPECT_EQ(n, 50);  // the truncated half really went out
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+TEST(WireCodec, WriteToClosedPeerReturnsFalseWithoutSigpipe) {
+  // A write to a socket whose peer has closed must fail with EPIPE, not kill
+  // the process. SIGPIPE is pinned to its default (terminate) action for the
+  // test, so a plain write(2) would end the test binary instead of returning.
+  struct default_sigpipe {
+    void (*prev)(int) = std::signal(SIGPIPE, SIG_DFL);
+    ~default_sigpipe() { std::signal(SIGPIPE, prev); }
+  } sigpipe;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  const std::vector<std::uint8_t> bytes(100, 0xef);
+  EXPECT_FALSE(wire_write_all(fds[0], bytes.data(), bytes.size()));
+  ::close(fds[0]);
 }
 
 TEST(WireCodec, RejectedFramesAreDumpedForCi) {

@@ -69,13 +69,18 @@ std::string base_dir() {
   return ::testing::TempDir();
 }
 
-/// Shard directory that survives test failure for CI artifact upload.
+/// Shard directory that survives test failure for CI artifact upload. The
+/// path carries the running test's name and the process id, so tests run
+/// concurrently (ctest -j, one process per test) never share -- or
+/// remove_all -- each other's directories.
 struct chaos_dir {
   std::string path;
   explicit chaos_dir(const std::string& name) {
     std::string b = base_dir();
     if (!b.empty() && b.back() != '/') b += '/';
-    path = b + "shard_chaos_" + name;
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    path = b + "shard_chaos_" + (test != nullptr ? test->name() : "none") +
+           "_" + std::to_string(::getpid()) + "_" + name;
     std::filesystem::remove_all(path);
     std::filesystem::create_directories(path);
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 namespace vabi::stats {
 namespace {
 
@@ -35,6 +39,33 @@ TEST(VariationSpace, RejectsNegativeSigma) {
   variation_space space;
   EXPECT_THROW(space.add_source(source_kind::random_device, -1.0),
                std::invalid_argument);
+}
+
+TEST(VariationSpace, RejectsNonFiniteSigma) {
+  variation_space space;
+  for (const double sigma : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(space.add_source(source_kind::random_device, sigma),
+                 std::invalid_argument)
+        << sigma;
+  }
+  EXPECT_TRUE(space.empty());
+}
+
+TEST(VariationSpace, RejectsSigmaWhoseSquareOverflows) {
+  variation_space space;
+  EXPECT_THROW(space.add_source(source_kind::random_device, 1e200),
+               std::invalid_argument);
+  EXPECT_THROW(space.add_source(source_kind::random_device,
+                                std::numeric_limits<double>::max()),
+               std::invalid_argument);
+  // A large sigma with a finite square is admitted, and so is a tiny one
+  // whose square underflows to 0.
+  const auto big = space.add_source(source_kind::random_device, 1e150);
+  const auto tiny = space.add_source(source_kind::random_device, 1e-200);
+  EXPECT_TRUE(std::isfinite(space.sigma2(big)));
+  EXPECT_EQ(space.sigma2(tiny), 0.0);
 }
 
 TEST(VariationSpace, AllowsZeroSigma) {
